@@ -27,7 +27,7 @@
 //! engine's replayability (and the sharded engine's thread-count
 //! invariance) intact.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
@@ -142,8 +142,11 @@ pub trait RoundInfo {
     fn is_done(&self) -> bool;
     /// Segments received so far (the retry stall detector's progress).
     fn received_count(&self) -> usize;
-    /// Spatial indices of the segments still missing.
-    fn missing(&self) -> Vec<u64>;
+    /// Segments in the round: spatial indices run `0..num_segments()`.
+    fn num_segments(&self) -> u64;
+    /// Whether spatial segment `idx` is still missing. Indices at or past
+    /// [`RoundInfo::num_segments`] are never missing.
+    fn is_missing(&self, idx: u64) -> bool;
 }
 
 impl RoundInfo for RoundAssembler {
@@ -153,8 +156,11 @@ impl RoundInfo for RoundAssembler {
     fn received_count(&self) -> usize {
         RoundAssembler::received_count(self)
     }
-    fn missing(&self) -> Vec<u64> {
-        RoundAssembler::missing(self)
+    fn num_segments(&self) -> u64 {
+        RoundAssembler::num_segments(self) as u64
+    }
+    fn is_missing(&self, idx: u64) -> bool {
+        RoundAssembler::is_missing(self, idx)
     }
 }
 
@@ -169,8 +175,11 @@ impl RoundInfo for NoRound {
     fn received_count(&self) -> usize {
         0
     }
-    fn missing(&self) -> Vec<u64> {
-        Vec::new()
+    fn num_segments(&self) -> u64 {
+        0
+    }
+    fn is_missing(&self, _idx: u64) -> bool {
+        false
     }
 }
 
@@ -369,12 +378,8 @@ impl Transport for GoBackRetransmit {
         // re-request a vector's worth of traffic (a premature timeout
         // would otherwise trigger a retransmission storm).
         let escalate = self.stall.observe(round.received_count()) >= 2;
-        let mut budget = HELP_BATCH;
-        for seg in round.missing() {
-            if budget == 0 {
-                break;
-            }
-            budget -= 1;
+        let missing = (0..round.num_segments()).filter(|&i| round.is_missing(i));
+        for seg in missing.take(HELP_BATCH as usize) {
             self.stats.help_requests += 1;
             let seg = tag_round(seg, iter);
             let help = control_packet(rt.ip(), UPSTREAM_IP, &ControlMessage::Help { seg });
@@ -409,16 +414,57 @@ impl Transport for GoBackRetransmit {
     }
 }
 
+/// Per-round gap bookkeeping for [`NackReliable`]: two low-water cursors
+/// that make every arrival O(1) amortized and allocation-free. Pure — it
+/// reads the round through [`RoundInfo`] and never touches the wire.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct GapCursor {
+    /// Every index below this one is received or already NACKed.
+    nacked_to: u64,
+    /// Every index below this one is received (storm mode only).
+    received_to: u64,
+}
+
+impl GapCursor {
+    /// Calls `nack` once for each index below `arrived` that is still
+    /// missing and was not NACKed before this round, in ascending order.
+    ///
+    /// Only `[nacked_to, arrived)` is scanned: below the cursor every index
+    /// was received (and stays received until the round resets) or was
+    /// NACKed by the arrival that moved the cursor past it. The arrival is
+    /// clamped to the round's segment count first, so a malformed 32-bit
+    /// index cannot turn the scan into a multi-billion-step loop.
+    fn take_gaps(&mut self, arrived: u64, round: &dyn RoundInfo, mut nack: impl FnMut(u64)) {
+        let end = arrived.min(round.num_segments());
+        for idx in self.nacked_to..end {
+            if round.is_missing(idx) {
+                nack(idx);
+            }
+        }
+        self.nacked_to = self.nacked_to.max(end);
+    }
+
+    /// Whether any index below `arrived` is still missing: the storm mode's
+    /// trigger, which NACKs nothing and so never advances `nacked_to`.
+    fn gap_below(&mut self, arrived: u64, round: &dyn RoundInfo) -> bool {
+        let n = round.num_segments();
+        while self.received_to < n && !round.is_missing(self.received_to) {
+            self.received_to += 1;
+        }
+        self.received_to < arrived.min(n)
+    }
+}
+
 /// NACK-on-gap recovery: an arriving result segment with missing lower
 /// indices is proof those packets were lost (the switch emits a round's
 /// segments in ascending completion order), so the worker requests them
 /// immediately instead of waiting out a timeout. Each segment is NACKed at
-/// most once per round; the go-back timeout machinery stays armed as the
-/// last resort for tail losses that no later arrival exposes.
+/// most once per round, tracked by a low-water cursor rather than a set;
+/// the go-back timeout machinery stays armed as the last resort for tail
+/// losses that no later arrival exposes.
 pub struct NackReliable {
     fallback: GoBackRetransmit,
-    /// Spatial segment indices already NACKed this round.
-    nacked: HashSet<u64>,
+    gaps: GapCursor,
     /// Chaos mode: on every detected gap, re-push the *whole* contribution
     /// train instead of NACKing the hole — the storm double-delivers and
     /// the conservation invariant must trip.
@@ -439,7 +485,7 @@ impl NackReliable {
     pub fn new() -> Self {
         NackReliable {
             fallback: GoBackRetransmit::new(),
-            nacked: HashSet::new(),
+            gaps: GapCursor::default(),
             storm: false,
             train: Vec::new(),
             stats: TransportStats::default(),
@@ -457,7 +503,7 @@ impl Transport for NackReliable {
     }
 
     fn begin_round(&mut self, iter: u32) {
-        self.nacked.clear();
+        self.gaps = GapCursor::default();
         self.train.clear();
         self.fallback.begin_round(iter);
     }
@@ -491,34 +537,27 @@ impl Transport for NackReliable {
             return;
         };
         let arrived = iswitch_core::seg_index(seg_field);
-        // Everything still missing *below* the arrival is a proven gap.
-        let gaps: Vec<u64> = round
-            .missing()
-            .into_iter()
-            .filter(|&m| m < arrived && !self.nacked.contains(&m))
-            .collect();
-        if gaps.is_empty() {
-            return;
-        }
         if self.storm {
-            // Seeded bug: the gap triggers a full re-push — every segment,
+            // Seeded bug: any gap triggers a full re-push — every segment,
             // not just the holes, and without marking anything as already
             // requested, so consecutive gaps storm repeatedly.
-            self.stats.retransmits += 1;
-            for p in self.train.clone() {
-                rt.send(p);
+            if self.gaps.gap_below(arrived, round) {
+                self.stats.retransmits += 1;
+                for p in self.train.clone() {
+                    rt.send(p);
+                }
             }
             return;
         }
-        for m in gaps {
-            self.nacked.insert(m);
+        // Everything still missing *below* the arrival is a proven gap.
+        self.gaps.take_gaps(arrived, round, |m| {
             self.stats.nacks_sent += 1;
             // The NACK rides the existing Help control path: the switch
             // serves the cached result segment back to the requester.
             let seg = tag_round(m, iter);
             let nack = control_packet(rt.ip(), UPSTREAM_IP, &ControlMessage::Help { seg });
             rt.send(nack);
-        }
+        });
     }
 
     fn stats(&self) -> TransportStats {
@@ -714,7 +753,202 @@ impl Transport for Dcqcn {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::collections::HashSet;
+
+    use iswitch_core::{seg_index, seg_round, DataSegment, RoundInsert, FLOATS_PER_SEGMENT};
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// A bookkeeping-only assembler for `n` segments, tagged for `round`.
+    fn assembler(n: usize, round: u32) -> RoundAssembler {
+        let mut asm = RoundAssembler::new(n * FLOATS_PER_SEGMENT, false);
+        asm.begin_round(Some(round));
+        asm
+    }
+
+    /// Books the segment with wire `Seg` field `tagged` into `asm`.
+    fn receive(asm: &mut RoundAssembler, tagged: u64) -> RoundInsert {
+        asm.insert(&DataSegment {
+            seg: tagged,
+            count: 1,
+            values: Vec::new(),
+        })
+    }
+
+    /// Counts [`RoundInfo::is_missing`] probes: how much work a call did.
+    struct Probed<'a> {
+        inner: &'a RoundAssembler,
+        probes: Cell<u64>,
+    }
+
+    impl RoundInfo for Probed<'_> {
+        fn is_done(&self) -> bool {
+            self.inner.is_done()
+        }
+        fn received_count(&self) -> usize {
+            self.inner.received_count()
+        }
+        fn num_segments(&self) -> u64 {
+            self.inner.num_segments() as u64
+        }
+        fn is_missing(&self, idx: u64) -> bool {
+            self.probes.set(self.probes.get() + 1);
+            self.inner.is_missing(idx)
+        }
+    }
+
+    /// The NACK gap logic as it stood before [`GapCursor`]: rebuild the
+    /// whole missing list on every arrival and filter it through a set of
+    /// already-NACKed indices. Kept as the oracle the cursor must match.
+    struct QuadraticOracle {
+        nacked: HashSet<u64>,
+        storm: bool,
+    }
+
+    impl QuadraticOracle {
+        /// The NACKs this arrival sends, and whether it triggers a storm.
+        fn on_data(&mut self, arrived: u64, missing: Vec<u64>) -> (Vec<u64>, bool) {
+            let gaps: Vec<u64> = missing
+                .into_iter()
+                .filter(|&m| m < arrived && !self.nacked.contains(&m))
+                .collect();
+            if gaps.is_empty() {
+                return (Vec::new(), false);
+            }
+            if self.storm {
+                return (Vec::new(), true);
+            }
+            for &m in &gaps {
+                self.nacked.insert(m);
+            }
+            (gaps, false)
+        }
+    }
+
+    /// The oracle's view of the round: an independent receive model, so
+    /// the assembler's `is_missing` is checked along with the cursor.
+    fn model_missing(received: &[bool]) -> Vec<u64> {
+        received
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !**r)
+            .map(|(i, _)| i as u64)
+            .collect()
+    }
+
+    #[test]
+    fn out_of_range_arrivals_are_clamped_to_the_round() {
+        let n = 5usize;
+        let mut asm = assembler(n, 3);
+        for idx in [0, 2] {
+            receive(&mut asm, tag_round(idx, 3));
+        }
+        let round = Probed {
+            inner: &asm,
+            probes: Cell::new(0),
+        };
+        let mut gaps = GapCursor::default();
+        // The first arrival past the end exposes every real hole, exactly
+        // as the quadratic scan did, and never an index that does not exist.
+        let mut sent = Vec::new();
+        gaps.take_gaps(n as u64, &round, |m| sent.push(m));
+        assert_eq!(sent, vec![1, 3, 4]);
+        assert_eq!(gaps.nacked_to, n as u64);
+        for arrived in [n as u64, n as u64 + 1, u64::from(u32::MAX)] {
+            let before = round.probes.get();
+            gaps.take_gaps(arrived, &round, |m| panic!("re-NACKed {m} at {arrived}"));
+            assert_eq!(
+                round.probes.get(),
+                before,
+                "{arrived}: no scan past the cursor"
+            );
+            assert!(gaps.nacked_to <= n as u64);
+            // Storm mode's trigger is clamped the same way.
+            assert!(gaps.gap_below(arrived, &round));
+        }
+        // On a fresh cursor the worst-case arrival costs at most one probe
+        // per segment, not one per representable index.
+        let mut fresh = GapCursor::default();
+        round.probes.set(0);
+        fresh.take_gaps(u64::from(u32::MAX), &round, |_| {});
+        assert!(round.probes.get() <= n as u64);
+        assert!(fresh.nacked_to <= n as u64);
+        // A complete round NACKs nothing, however far out the arrival.
+        let mut full = assembler(n, 3);
+        for idx in 0..n as u64 {
+            receive(&mut full, tag_round(idx, 3));
+        }
+        let mut done = GapCursor::default();
+        for arrived in [n as u64, n as u64 + 1, u64::from(u32::MAX)] {
+            done.take_gaps(arrived, &full, |m| panic!("NACKed {m} on a complete round"));
+            assert!(!done.gap_below(arrived, &full));
+            assert!(done.nacked_to <= n as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random receive schedules: drops (indices that never arrive),
+        /// duplicates, stale and future round tags, out-of-range indices and
+        /// `begin_round` resets. The cursor must send the oracle's exact
+        /// NACK sequence and make the same storm decisions.
+        #[test]
+        fn gap_cursor_matches_the_quadratic_oracle(
+            n in 1usize..24,
+            storm in any::<bool>(),
+            ops in prop::collection::vec(any::<u64>(), 0..160),
+        ) {
+            let mut round = 0u32;
+            let mut asm = assembler(n, round);
+            let mut received = vec![false; n];
+            let mut cursor = GapCursor::default();
+            let mut oracle = QuadraticOracle { nacked: HashSet::new(), storm };
+            for op in ops {
+                let pick = op >> 8;
+                let tagged = match op % 16 {
+                    0 => {
+                        // Next round, occasionally a repeat of this one.
+                        round += u32::from(pick % 4 != 0);
+                        asm.begin_round(Some(round));
+                        received.fill(false);
+                        cursor = GapCursor::default();
+                        oracle.nacked.clear();
+                        continue;
+                    }
+                    // A stale or early round tag on an in-range index.
+                    1 | 2 => tag_round(pick % n as u64, round.wrapping_add(1 + (pick % 3) as u32)),
+                    // A malformed index at or past the segment count.
+                    3 => {
+                        let idx = [n as u64, n as u64 + 1, u64::from(u32::MAX)][(pick % 3) as usize];
+                        tag_round(idx, round)
+                    }
+                    _ => tag_round(pick % n as u64, round),
+                };
+                let arrived = seg_index(tagged);
+                let (want_nacks, want_storm) = oracle.on_data(arrived, model_missing(&received));
+                if storm {
+                    prop_assert_eq!(cursor.gap_below(arrived, &asm), want_storm);
+                } else {
+                    let mut got = Vec::new();
+                    cursor.take_gaps(arrived, &asm, |m| got.push(m));
+                    prop_assert_eq!(got, want_nacks);
+                    prop_assert!(cursor.nacked_to <= n as u64);
+                }
+                // Book the arrival the way the assembler's admit filter does.
+                let idx = arrived as usize;
+                if seg_round(tagged) == round & 0xFFFF && idx < n && !received[idx] {
+                    received[idx] = true;
+                }
+                receive(&mut asm, tagged);
+                for (i, &r) in received.iter().enumerate() {
+                    prop_assert_eq!(asm.is_missing(i as u64), !r);
+                }
+            }
+        }
+    }
 
     #[test]
     fn kind_round_trips_through_str() {
@@ -728,7 +962,13 @@ mod tests {
     fn no_round_is_inert() {
         assert!(NoRound.is_done());
         assert_eq!(NoRound.received_count(), 0);
-        assert!(NoRound.missing().is_empty());
+        assert_eq!(NoRound.num_segments(), 0);
+        assert!(!NoRound.is_missing(0));
+        let mut gaps = GapCursor::default();
+        gaps.take_gaps(u64::MAX, &NoRound, |m| {
+            panic!("NACKed {m} on an empty round")
+        });
+        assert!(!gaps.gap_below(u64::MAX, &NoRound));
     }
 
     #[test]

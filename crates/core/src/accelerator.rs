@@ -15,6 +15,7 @@
 //! pipeline depth, which the latency model converts to wall-clock time.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use iswitch_netsim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -175,8 +176,9 @@ pub struct Accelerator {
     resident_bytes: usize,
     /// Cache of the last emitted aggregate per `Seg`, serving `Help`
     /// retransmission requests for lost result packets. Held in the switch
-    /// CPU's DRAM (control plane), not BRAM.
-    last_results: HashMap<u64, DataSegment>,
+    /// CPU's DRAM (control plane), not BRAM. Entries share the emitted
+    /// aggregate rather than copying it.
+    last_results: HashMap<u64, Arc<DataSegment>>,
     /// Open-round cap granted to this tenant's share of the pool for the
     /// current arbitration epoch. `None` (the single-tenant default) means
     /// the whole pool, reproducing the legacy behavior bit for bit.
@@ -408,7 +410,7 @@ impl Accelerator {
     /// an inconsistent length, or (for quantized codecs) a value is
     /// non-finite — the floats path re-encodes through the codec, and
     /// quantized formats reject NaN/Inf.
-    pub fn ingest(&mut self, seg: &DataSegment) -> (Option<DataSegment>, SimDuration) {
+    pub fn ingest(&mut self, seg: &DataSegment) -> (Option<Arc<DataSegment>>, SimDuration) {
         self.ingest_inner(
             seg.seg,
             seg.count,
@@ -438,7 +440,7 @@ impl Accelerator {
         &mut self,
         meta: SegmentMeta,
         payload: &[u8],
-    ) -> (Option<DataSegment>, SimDuration) {
+    ) -> (Option<Arc<DataSegment>>, SimDuration) {
         self.ingest_inner(meta.seg, meta.count, meta.len, Contribution::Wire(payload))
     }
 
@@ -448,7 +450,7 @@ impl Accelerator {
         count: u16,
         len: usize,
         values: Contribution<'_>,
-    ) -> (Option<DataSegment>, SimDuration) {
+    ) -> (Option<Arc<DataSegment>>, SimDuration) {
         self.stats.packets_in += 1;
         let codec = self.codec.codec();
         // Datapath occupancy follows the bytes actually streamed: the real
@@ -569,7 +571,7 @@ impl Accelerator {
         len: usize,
         values: Contribution<'_>,
         datapath_latency: SimDuration,
-    ) -> (Option<DataSegment>, SimDuration) {
+    ) -> (Option<Arc<DataSegment>>, SimDuration) {
         let latency = datapath_latency * HOST_PATH_LATENCY_FACTOR;
         let codec = self.codec.codec();
         let slot = self.fallback.entry(idx).or_insert_with(|| HostSlot {
@@ -622,7 +624,7 @@ impl Accelerator {
         }
     }
 
-    fn complete(&mut self, idx: u64) -> DataSegment {
+    fn complete(&mut self, idx: u64) -> Arc<DataSegment> {
         let slot_id = self
             .index
             .remove(&idx)
@@ -645,17 +647,17 @@ impl Accelerator {
             self.resident_bytes -= freed;
         }
         self.stats.segments_emitted += 1;
-        let result = DataSegment {
+        let result = Arc::new(DataSegment {
             seg: idx,
             count,
             values,
-        };
-        self.last_results.insert(idx, result.clone());
+        });
+        self.last_results.insert(idx, Arc::clone(&result));
         result
     }
 
     /// Emits and retires the host-path round `idx`.
-    fn complete_host(&mut self, idx: u64) -> DataSegment {
+    fn complete_host(&mut self, idx: u64) -> Arc<DataSegment> {
         let mut slot = self
             .fallback
             .remove(&idx)
@@ -666,19 +668,19 @@ impl Accelerator {
         };
         self.stats.segments_emitted += 1;
         self.stats.fallback_rounds += 1;
-        let result = DataSegment {
+        let result = Arc::new(DataSegment {
             seg: idx,
             count: slot.workers,
             values,
-        };
-        self.last_results.insert(idx, result.clone());
+        });
+        self.last_results.insert(idx, Arc::clone(&result));
         result
     }
 
     /// Forces out the partial aggregate of `seg` (the `FBcast` control
     /// action), if any contributions have arrived — on either the BRAM or
     /// the host path. The buffer and counter reset either way.
-    pub fn force_broadcast(&mut self, seg: u64) -> Option<DataSegment> {
+    pub fn force_broadcast(&mut self, seg: u64) -> Option<Arc<DataSegment>> {
         // A resident slot always holds at least one contribution (slots are
         // created by the ingest that first contributes).
         if self.index.contains_key(&seg) {
@@ -693,8 +695,9 @@ impl Accelerator {
     }
 
     /// The most recently emitted aggregate for `seg`, serving `Help`
-    /// retransmissions of lost result packets.
-    pub fn last_result(&self, seg: u64) -> Option<&DataSegment> {
+    /// retransmissions of lost result packets. The cache shares the
+    /// emitted aggregate; cloning the `Arc` copies no values.
+    pub fn last_result(&self, seg: u64) -> Option<&Arc<DataSegment>> {
         self.last_results.get(&seg)
     }
 

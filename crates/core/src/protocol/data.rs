@@ -451,14 +451,18 @@ impl RoundAssembler {
         self.received.len() - self.pending
     }
 
-    /// Spatial indices of segments not yet received this round.
-    pub fn missing(&self) -> Vec<u64> {
-        self.received
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !**r)
-            .map(|(i, _)| i as u64)
-            .collect()
+    /// Segments per round: spatial indices run `0..num_segments()`.
+    pub fn num_segments(&self) -> usize {
+        self.received.len()
+    }
+
+    /// Whether spatial segment `idx` is still missing this round. Indices
+    /// past the round's segment count are never missing.
+    pub fn is_missing(&self, idx: u64) -> bool {
+        usize::try_from(idx)
+            .ok()
+            .and_then(|i| self.received.get(i))
+            .is_some_and(|r| !r)
     }
 
     /// Feeds one received segment.
@@ -700,7 +704,10 @@ mod tests {
         let segs = segment_gradient_round(&grad, 5);
         assert_eq!(asm.insert(&segs[0]), RoundInsert::Accepted);
         assert_eq!(asm.insert(&segs[0]), RoundInsert::Duplicate);
-        assert_eq!(asm.missing(), vec![1, 2]);
+        let missing: Vec<u64> = (0..3).filter(|&i| asm.is_missing(i)).collect();
+        assert_eq!(missing, vec![1, 2]);
+        assert!(!asm.is_missing(3));
+        assert!(!asm.is_missing(u64::MAX));
         assert_eq!(asm.insert(&segs[1]), RoundInsert::Accepted);
         assert_eq!(asm.insert(&segs[2]), RoundInsert::Completed);
         assert!(asm.is_done());

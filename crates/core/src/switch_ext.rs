@@ -221,10 +221,12 @@ pub struct ExtensionStats {
     pub ecn_echoed: u64,
 }
 
+/// An emission scheduled behind the accelerator's latency. Each holds the
+/// aggregate the accelerator's `Help` cache also holds, shared, not copied.
 enum PendingEmit {
-    Broadcast { seg: DataSegment, ce: bool },
-    Upward { seg: DataSegment, ce: bool },
-    HelpReply { seg: DataSegment, to: IpAddr },
+    Broadcast { seg: Arc<DataSegment>, ce: bool },
+    Upward { seg: Arc<DataSegment>, ce: bool },
+    HelpReply { seg: Arc<DataSegment>, to: IpAddr },
 }
 
 /// Metric handles registered in the owning simulation's registry.
@@ -315,7 +317,7 @@ pub struct IswitchExtension {
     sweep_armed: bool,
     /// Completed segments held back in store-and-forward mode until the
     /// whole round is resident, with their echoed-CE flag.
-    held: Vec<(DataSegment, bool)>,
+    held: Vec<(Arc<DataSegment>, bool)>,
     stats: ExtensionStats,
     /// Segment rounds that saw at least one CE-marked contribution; the
     /// mark is echoed onto the round's result emission (the congestion
@@ -442,7 +444,7 @@ impl IswitchExtension {
     fn emit_completed(
         &mut self,
         sw: &mut SwitchServices<'_, '_>,
-        seg: DataSegment,
+        seg: Arc<DataSegment>,
         delay: SimDuration,
     ) {
         // Consume the round's congestion mark: it rides out on exactly the
@@ -712,7 +714,7 @@ impl IswitchExtension {
             ControlMessage::Help { seg } => {
                 let served = if let Some(cached) = self.accel.last_result(seg) {
                     let reply = PendingEmit::HelpReply {
-                        seg: cached.clone(),
+                        seg: Arc::clone(cached),
                         to: from,
                     };
                     self.stats.help_served += 1;

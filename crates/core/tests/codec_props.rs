@@ -4,6 +4,8 @@
 //! edge cases (saturation, tiny exponents, all-zero blocks, non-finite
 //! inputs) must behave by design rather than by accident.
 
+use std::sync::Arc;
+
 use iswitch_core::{
     num_segments, segment_gradient, topk_indices, Accelerator, AcceleratorConfig, AggregationCodec,
     CodecKind, DataSegment, FixedPointCodec, SegmentMeta, TOPK_DIVISOR,
@@ -247,7 +249,7 @@ fn accelerator_wire_path_matches_the_codec_module() {
             .map(|w| random_values(0xACCE1 + w as u64, len, 20.0))
             .collect();
         let c = codec.codec();
-        let mut done: Vec<DataSegment> = Vec::new();
+        let mut done: Vec<Arc<DataSegment>> = Vec::new();
         for w in &vals {
             for (idx, chunk) in w.chunks(elems).enumerate() {
                 let payload = c.encode_contribution(idx as u64, chunk).expect("finite");
@@ -260,7 +262,7 @@ fn accelerator_wire_path_matches_the_codec_module() {
         }
         assert_eq!(done.len(), codec.num_segments(len), "{codec}: all complete");
         done.sort_by_key(|s| s.seg);
-        let flat: Vec<f32> = done.into_iter().flat_map(|s| s.values).collect();
+        let flat: Vec<f32> = done.iter().flat_map(|s| s.values.iter().copied()).collect();
         let reference: Vec<f32> = vals[0]
             .chunks(elems)
             .enumerate()
