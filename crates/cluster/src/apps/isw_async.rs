@@ -10,6 +10,8 @@
 //! * **LWU** — on each broadcast, every worker applies the same update to
 //!   its decentralized weight replica.
 
+use std::sync::Arc;
+
 use iswitch_core::{
     gradient_packets_round_codec, CodecKind, EncodedGradient, RoundAssembler, RoundInsert, TOS_DATA,
 };
@@ -123,12 +125,13 @@ impl StrategyProtocol for IswAsyncProto {
 pub type IswAsyncWorker = StrategyRuntime<IswAsyncProto>;
 
 impl IswAsyncWorker {
-    /// A worker pushing gradients of `grad_len` f32 elements until
-    /// `deadline` (if given), committing `messages` collectives per
-    /// iteration (dual-model DDPG pushes two vectors).
+    /// A timing-mode worker pushing the job's shared synthetic gradient
+    /// (see [`SyntheticGradients::ones`]) until `deadline` (if given),
+    /// committing `messages` collectives per iteration (dual-model DDPG
+    /// pushes two vectors).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        grad_len: usize,
+        synthetic: &Arc<[f32]>,
         messages: u64,
         compute: ComputeModel,
         comm: CommCosts,
@@ -137,7 +140,7 @@ impl IswAsyncWorker {
         deadline: Option<SimTime>,
     ) -> Self {
         IswAsyncWorker::with_source(
-            Box::new(SyntheticGradients::new(grad_len)),
+            Box::new(SyntheticGradients::shared(Arc::clone(synthetic))),
             messages,
             compute,
             comm,

@@ -7,6 +7,8 @@
 //! knows what a round *is* — which packets carry this iteration's
 //! contribution and when the broadcast result is complete.
 
+use std::sync::Arc;
+
 use iswitch_core::{
     gradient_packets_round_codec, CodecKind, EncodedGradient, RoundAssembler, RoundInsert,
 };
@@ -167,10 +169,11 @@ impl StrategyProtocol for IswSyncProto {
 pub type IswSyncWorker = StrategyRuntime<IswSyncProto>;
 
 impl IswSyncWorker {
-    /// A worker pushing gradients of `grad_len` f32 elements in
-    /// `messages` collectives per iteration.
+    /// A timing-mode worker pushing the job's shared synthetic gradient
+    /// (see [`SyntheticGradients::ones`]) in `messages` collectives per
+    /// iteration.
     pub fn new(
-        grad_len: usize,
+        synthetic: &Arc<[f32]>,
         messages: u64,
         iterations: usize,
         compute: ComputeModel,
@@ -178,7 +181,7 @@ impl IswSyncWorker {
         seed: u64,
     ) -> Self {
         IswSyncWorker::with_source(
-            Box::new(SyntheticGradients::new(grad_len)),
+            Box::new(SyntheticGradients::shared(Arc::clone(synthetic))),
             messages,
             iterations,
             compute,

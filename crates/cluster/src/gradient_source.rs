@@ -87,16 +87,26 @@ pub trait GradientSource: Send + 'static {
 /// Timing-mode source: a fixed synthetic vector. Packet sizes and counts
 /// match the real model exactly; values never change.
 pub struct SyntheticGradients {
-    template: Vec<f32>,
+    template: Arc<[f32]>,
 }
 
 impl SyntheticGradients {
     /// A synthetic gradient of `grad_len` f32 elements.
     pub fn new(grad_len: usize) -> Self {
-        // Packet contents don't affect timing; keep one constant vector.
-        SyntheticGradients {
-            template: vec![1.0f32; grad_len],
-        }
+        Self::shared(Self::ones(grad_len))
+    }
+
+    /// The constant vector behind synthetic gradients of `grad_len`
+    /// elements. Packet contents don't affect timing, so a job builds this
+    /// once and hands every worker a clone of the `Arc` through
+    /// [`SyntheticGradients::shared`]; it is freed with the last worker.
+    pub fn ones(grad_len: usize) -> Arc<[f32]> {
+        (0..grad_len).map(|_| 1.0f32).collect()
+    }
+
+    /// A synthetic gradient reading the shared `template`.
+    pub fn shared(template: Arc<[f32]>) -> Self {
+        SyntheticGradients { template }
     }
 }
 
@@ -316,6 +326,19 @@ mod tests {
         assert!(!s.wants_values());
         s.apply_aggregate(&[9.0; 5]);
         assert_eq!(s.gradient(), &[1.0; 5]);
+    }
+
+    #[test]
+    fn synthetic_sources_of_a_job_share_one_vector() {
+        let ones = SyntheticGradients::ones(4);
+        let a = SyntheticGradients::shared(Arc::clone(&ones));
+        let b = SyntheticGradients::shared(Arc::clone(&ones));
+        assert!(std::ptr::eq(a.gradient(), b.gradient()));
+        assert_eq!(a.gradient(), &[1.0; 4]);
+        drop(ones);
+        drop(a);
+        // The last worker keeps the vector alive on its own.
+        assert_eq!(b.gradient(), &[1.0; 4]);
     }
 
     #[test]

@@ -57,6 +57,7 @@ use crate::apps::{
     AsyncPsServer, AsyncPsWorker, IswAsyncWorker, IswSyncWorker, RingWorker, SyncPsServer,
     SyncPsWorker,
 };
+use crate::gradient_source::SyntheticGradients;
 use crate::timing_runner::{
     append_background, apply_event_limit, attach_trace, build_isw_topology, build_plain_topology,
     capture_metrics, codec_wire_bytes, collect_sync_result, emit_run_meta, grad_len,
@@ -829,10 +830,11 @@ fn build_sync_isw(spec: &TenantSpec, cfg: &TimingConfig, obs: &mut RunObs) -> Te
     sim.set_tenant(spec.id);
     attach_trace(&mut sim, &Some(obs));
     apply_event_limit(&mut sim, &cfg);
+    let synthetic = SyntheticGradients::ones(len);
     let mut worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
         .map(|w| {
             let mut worker = IswSyncWorker::new(
-                len,
+                &synthetic,
                 messages(cfg.algorithm),
                 total_iters,
                 model.clone(),
@@ -908,11 +910,12 @@ fn build_async_isw(spec: &TenantSpec, cfg: &TimingConfig, obs: &mut RunObs) -> T
     let mut sim = Simulator::new();
     sim.set_tenant(spec.id);
     attach_trace(&mut sim, &Some(obs));
+    let synthetic = SyntheticGradients::ones(len);
     let mut worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
         .map(|w| {
             Box::new(
                 IswAsyncWorker::new(
-                    len,
+                    &synthetic,
                     messages(cfg.algorithm),
                     model.clone(),
                     cfg.comm.clone(),

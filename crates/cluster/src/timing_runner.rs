@@ -22,6 +22,7 @@ use crate::apps::{
     RingWorker, SyncPsServer, SyncPsWorker,
 };
 use crate::compute_model::{CommCosts, ComputeModel};
+use crate::gradient_source::SyntheticGradients;
 use crate::transport::{make_transport, TransportKind, TransportStats};
 
 /// A distributed-training strategy from the paper's evaluation (§5.2).
@@ -1172,10 +1173,11 @@ fn run_sync_isw(cfg: &TimingConfig, mut obs: Option<&mut RunObs>) -> TimingResul
     let mut sim = Simulator::new();
     attach_trace(&mut sim, &obs);
     apply_event_limit(&mut sim, &cfg);
+    let synthetic = SyntheticGradients::ones(len);
     let mut worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
         .map(|w| {
             let mut worker = IswSyncWorker::new(
-                len,
+                &synthetic,
                 messages(cfg.algorithm),
                 total_iters,
                 model.clone(),
@@ -1236,11 +1238,12 @@ fn run_sync_isw_sharded(cfg: &TimingConfig, mut obs: Option<&mut RunObs>) -> Tim
             seed: cfg.seed,
         };
     }
+    let synthetic = SyntheticGradients::ones(len);
     // Flat worker apps in pod-major order, then grouped into (pod, rack).
     let mut flat: Vec<Box<dyn HostApp>> = (0..shape.workers())
         .map(|w| {
             let mut worker = IswSyncWorker::new(
-                len,
+                &synthetic,
                 messages(cfg.algorithm),
                 total_iters,
                 model.clone(),
@@ -1451,11 +1454,12 @@ fn run_async_isw(cfg: &TimingConfig, mut obs: Option<&mut RunObs>) -> TimingResu
     let model = cfg.compute_model();
     let mut sim = Simulator::new();
     attach_trace(&mut sim, &obs);
+    let synthetic = SyntheticGradients::ones(len);
     let mut worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
         .map(|w| {
             Box::new(
                 IswAsyncWorker::new(
-                    len,
+                    &synthetic,
                     messages(cfg.algorithm),
                     model.clone(),
                     cfg.comm.clone(),
@@ -1721,6 +1725,66 @@ mod tests {
         }
         assert_eq!(exports[0], exports[1], "threads=1 vs threads=2 differ");
         assert_eq!(exports[0], exports[2], "threads=1 vs threads=4 differ");
+    }
+
+    /// Steps a SyncIsw run event by event and returns, per switch, the
+    /// most aggregates its `Help` cache ever held, plus the root's emitted
+    /// segment count.
+    fn peak_cached_results(cfg: &TimingConfig) -> (Vec<usize>, u64) {
+        let len = grad_len(cfg.algorithm);
+        let synthetic = SyntheticGradients::ones(len);
+        let apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
+            .map(|w| {
+                Box::new(IswSyncWorker::new(
+                    &synthetic,
+                    messages(cfg.algorithm),
+                    cfg.warmup + cfg.iterations,
+                    cfg.compute_model(),
+                    cfg.comm.clone(),
+                    cfg.seed.wrapping_add(w as u64),
+                )) as Box<dyn HostApp>
+            })
+            .collect();
+        let mut sim = Simulator::new();
+        let switches = build_isw_topology(&mut sim, apps, cfg, len).switches;
+        fn accel(sim: &Simulator, sw: NodeId) -> &iswitch_core::Accelerator {
+            sim.device::<iswitch_netsim::Switch>(sw)
+                .extension::<IswitchExtension>()
+                .accelerator()
+        }
+        let mut peak = vec![0; switches.len()];
+        while sim.step() {
+            for (peak, &sw) in peak.iter_mut().zip(&switches) {
+                *peak = (*peak).max(accel(&sim, sw).cached_results());
+            }
+        }
+        (peak, accel(&sim, switches[0]).stats().segments_emitted)
+    }
+
+    #[test]
+    fn help_caches_hold_at_most_two_rounds() {
+        // Results retire once every child has moved past their round, so
+        // a long run keeps the in-flight window, not every round it ran.
+        let mut star = quick(Algorithm::Ppo, Strategy::SyncIsw);
+        star.iterations = 30;
+        let mut tree3 = star.clone();
+        tree3.workers = 8;
+        tree3.workers_per_rack = Some(2);
+        tree3.racks_per_agg = Some(2);
+        for (name, cfg) in [("star", star), ("tree3", tree3)] {
+            let segments = cfg.codec.num_segments(grad_len(cfg.algorithm));
+            let rounds = (cfg.warmup + cfg.iterations) as u64 * messages(cfg.algorithm);
+            let (peak, emitted) = peak_cached_results(&cfg);
+            assert_eq!(emitted, rounds * segments as u64, "{name}: run incomplete");
+            for (sw, &cached) in peak.iter().enumerate() {
+                assert!(cached > 0, "{name}: switch {sw} cached nothing");
+                assert!(
+                    cached <= 2 * segments,
+                    "{name}: switch {sw} held {cached} cached results, \
+                     more than two rounds of {segments} segments"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use iswitch_cluster::analyze::TraceAnalysis;
 use iswitch_cluster::apps::IswSyncWorker;
-use iswitch_cluster::{CommCosts, ComputeModel};
+use iswitch_cluster::{CommCosts, ComputeModel, SyntheticGradients};
 use iswitch_core::{ExtensionConfig, IswitchExtension};
 use iswitch_netsim::{
     build_star, FaultAction, HostApp, PortId, SimDuration, SimTime, Simulator, TopologyConfig,
@@ -32,7 +32,7 @@ fn run_and_analyze(models: [ComputeModel; 2], bottleneck_worker: Option<usize>) 
         .enumerate()
         .map(|(w, model)| {
             Box::new(IswSyncWorker::new(
-                GRAD_LEN,
+                &SyntheticGradients::ones(GRAD_LEN),
                 1,
                 ITERATIONS,
                 model,

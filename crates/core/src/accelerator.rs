@@ -21,7 +21,7 @@ use iswitch_netsim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::codec::{accumulate_f32, AccEffects, CodecKind, WireAcc};
-use crate::protocol::{DataSegment, SegmentMeta};
+use crate::protocol::{round_precedes, seg_round, DataSegment, SegmentMeta};
 
 /// Slowdown of the fallback-to-host path relative to the line-rate
 /// datapath. A contribution that cannot get an aggregation slot crosses
@@ -177,7 +177,8 @@ pub struct Accelerator {
     /// Cache of the last emitted aggregate per `Seg`, serving `Help`
     /// retransmission requests for lost result packets. Held in the switch
     /// CPU's DRAM (control plane), not BRAM. Entries share the emitted
-    /// aggregate rather than copying it.
+    /// aggregate rather than copying it, and live until
+    /// [`Accelerator::retire_results_before`] drops their round.
     last_results: HashMap<u64, Arc<DataSegment>>,
     /// Open-round cap granted to this tenant's share of the pool for the
     /// current arbitration epoch. `None` (the single-tenant default) means
@@ -701,6 +702,21 @@ impl Accelerator {
         self.last_results.get(&seg)
     }
 
+    /// Number of aggregates held in the `Help` result cache.
+    pub fn cached_results(&self) -> usize {
+        self.last_results.len()
+    }
+
+    /// Drops every cached aggregate whose round tag precedes `round`
+    /// (modulo 2^16, so round 0 follows 0xFFFF): rounds no requester can
+    /// still ask `Help` for. The switch extension calls this as the lowest
+    /// round its children are working on advances, so the cache holds the
+    /// in-flight window instead of the whole run.
+    pub fn retire_results_before(&mut self, round: u32) {
+        self.last_results
+            .retain(|&seg, _| !round_precedes(seg_round(seg), round));
+    }
+
     /// Clears all buffers, counters, and result caches (the `Reset`
     /// control action).
     pub fn reset(&mut self) {
@@ -718,6 +734,7 @@ impl Accelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::tag_round;
 
     fn seg(idx: u64, values: Vec<f32>) -> DataSegment {
         DataSegment {
@@ -816,6 +833,29 @@ mod tests {
         assert!(a.last_result(0).is_none());
         a.ingest(&seg(0, vec![5.0]));
         assert_eq!(a.last_result(0).unwrap().values, vec![5.0]);
+    }
+
+    #[test]
+    fn retirement_drops_only_earlier_rounds() {
+        let mut a = Accelerator::new(AcceleratorConfig::default(), 2, 1);
+        for round in [0xFFFE, 0xFFFF, 0, 1] {
+            for idx in 0..2 {
+                a.ingest(&seg(tag_round(idx, round), vec![round as f32]));
+            }
+        }
+        assert_eq!(a.cached_results(), 8);
+        // Round 0 follows 0xFFFF: retiring below 0 keeps rounds 0 and 1
+        // and drops the two rounds before the wrap.
+        a.retire_results_before(0);
+        assert_eq!(a.cached_results(), 4);
+        assert!(a.last_result(tag_round(1, 0xFFFF)).is_none());
+        assert_eq!(a.last_result(tag_round(1, 0)).unwrap().values, vec![0.0]);
+        assert_eq!(a.last_result(tag_round(0, 1)).unwrap().values, vec![1.0]);
+        // Retiring below a round already passed changes nothing.
+        a.retire_results_before(0xFFFF);
+        assert_eq!(a.cached_results(), 4);
+        a.retire_results_before(2);
+        assert_eq!(a.cached_results(), 0);
     }
 
     #[test]

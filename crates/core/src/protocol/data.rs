@@ -59,6 +59,13 @@ pub fn seg_round(tagged: u64) -> u32 {
     ((tagged >> ROUND_SHIFT) & 0xFFFF) as u32
 }
 
+/// Whether round tag `a` comes strictly before round tag `b`, comparing the
+/// 16-bit tags modulo 2^16 (serial-number arithmetic): `0xFFFF` precedes
+/// `0`, and tags up to 2^15 − 1 apart order correctly across the wrap.
+pub(crate) fn round_precedes(a: u32, b: u32) -> bool {
+    ((b as u16).wrapping_sub(a as u16) as i16) > 0
+}
+
 /// One gradient segment: the unit of on-the-fly aggregation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataSegment {
@@ -676,6 +683,19 @@ mod tests {
         assert_eq!(tag_round(7, 0), 7);
         // Rounds wrap modulo 2^16.
         assert_eq!(seg_round(tag_round(0, 65_536 + 3)), 3);
+    }
+
+    #[test]
+    fn round_order_is_wrap_safe() {
+        assert!(round_precedes(3, 4));
+        assert!(!round_precedes(4, 3));
+        assert!(!round_precedes(7, 7));
+        // 0xFFFF → 0 is one step forward, not 65,535 steps back.
+        assert!(round_precedes(0xFFFF, 0));
+        assert!(!round_precedes(0, 0xFFFF));
+        assert!(round_precedes(0xFFF0, 0x0010));
+        // Tags are compared modulo 2^16, like the wire field.
+        assert!(round_precedes(65_536 + 1, 2));
     }
 
     #[test]

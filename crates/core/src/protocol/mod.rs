@@ -14,6 +14,7 @@ pub use codec::{
 };
 pub use control::ControlMessage;
 pub(crate) use data::encode_segment;
+pub(crate) use data::round_precedes;
 pub use data::{
     decode_seg_field, num_segments, seg_index, seg_round, segment_gradient, segment_gradient_round,
     tag_round, DataSegment, GradientAssembler, RoundAssembler, RoundInsert, SegmentMeta,

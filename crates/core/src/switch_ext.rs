@@ -29,8 +29,8 @@ use crate::accelerator::{Accelerator, AcceleratorConfig};
 use crate::control_plane::{Member, MemberType, MembershipTable};
 use crate::protocol::codec::CodecKind;
 use crate::protocol::{
-    dscp, seg_index, seg_round, ControlMessage, DataSegment, ISWITCH_UDP_PORT, TOS_CONTROL,
-    TOS_DATA,
+    dscp, round_precedes, seg_index, seg_round, ControlMessage, DataSegment, ISWITCH_UDP_PORT,
+    TOS_CONTROL, TOS_DATA,
 };
 
 /// Destination IP carried by downward result broadcasts. Worker apps accept
@@ -294,7 +294,76 @@ impl ExtObs {
     }
 }
 
-/// The in-switch aggregation extension.
+/// Per-child round high-water marks, and the floor they imply for the
+/// `Help` result cache.
+///
+/// A child only ever asks for results of the round it is working on, and
+/// its `Help` for round r leaves before its first round-r+1 contribution on
+/// the same FIFO path. So once every child has sent data of a round later
+/// than r, no `Help` for r can still arrive, and r's cached results can go
+/// (SwitchML keeps one shadow copy per slot for the same reason). A child
+/// that has never sent data, or has stopped sending, pins the floor.
+struct ChildRounds {
+    /// Child number of each port, indexed by port number; `NOT_A_CHILD`
+    /// for the uplink and unconnected ports. Precomputed so a data packet
+    /// costs one index, not a scan of the child list.
+    child_of_port: Vec<u32>,
+    /// Highest round tag seen on data from each child (wrap-safe), `None`
+    /// until the child's first data packet.
+    highest: Vec<Option<u32>>,
+    /// The lowest of `highest` once every child has reported.
+    floor: Option<u32>,
+}
+
+const NOT_A_CHILD: u32 = u32::MAX;
+
+impl ChildRounds {
+    fn new(child_ports: &[PortId]) -> Self {
+        let len = child_ports.iter().map(|p| p.index() + 1).max().unwrap_or(0);
+        let mut child_of_port = vec![NOT_A_CHILD; len];
+        for (child, port) in child_ports.iter().enumerate() {
+            child_of_port[port.index()] = child as u32;
+        }
+        ChildRounds {
+            child_of_port,
+            highest: vec![None; child_ports.len()],
+            floor: None,
+        }
+    }
+
+    /// Records data of `round` from `port` and returns the new floor when
+    /// it moved forward.
+    fn observe(&mut self, port: PortId, round: u32) -> Option<u32> {
+        let child = *self.child_of_port.get(port.index())?;
+        let seen = self.highest.get_mut(child as usize)?;
+        if seen.is_some_and(|h| !round_precedes(h, round)) {
+            return None;
+        }
+        *seen = Some(round);
+        // Only a child's first packet of a new round gets here, so the
+        // scan over the children runs once per child per round.
+        let mut floor = None;
+        for &h in &self.highest {
+            let h = h?;
+            if floor.is_none_or(|f| round_precedes(h, f)) {
+                floor = Some(h);
+            }
+        }
+        if floor == self.floor {
+            return None;
+        }
+        self.floor = floor;
+        floor
+    }
+
+    /// Forgets every child's rounds (after a reset): nothing retires until
+    /// every child has sent data again.
+    fn clear(&mut self) {
+        self.highest.fill(None);
+        self.floor = None;
+    }
+}
+
 /// Timer token reserved for the stale-partial sweep.
 const SWEEP_TOKEN: u64 = u64::MAX;
 
@@ -328,6 +397,8 @@ pub struct IswitchExtension {
     /// First contribution time of each in-flight segment round, for the
     /// aggregation-latency histogram.
     round_open: HashMap<usize, SimTime>,
+    /// The children's rounds, which decide when cached results retire.
+    child_rounds: ChildRounds,
     obs: Option<ExtObs>,
 }
 
@@ -352,6 +423,7 @@ impl IswitchExtension {
         );
         accel.set_host_fallback(cfg.host_fallback);
         accel.set_slot_leak_bug(cfg.slot_leak_bug);
+        let child_rounds = ChildRounds::new(&cfg.child_ports);
         IswitchExtension {
             cfg,
             accel,
@@ -364,6 +436,7 @@ impl IswitchExtension {
             stats: ExtensionStats::default(),
             ecn_seen: HashSet::new(),
             round_open: HashMap::new(),
+            child_rounds,
             obs: None,
         }
     }
@@ -516,6 +589,9 @@ impl IswitchExtension {
             Err(_) => return,
         };
         let idx = meta.seg as usize;
+        if let Some(floor) = self.child_rounds.observe(in_port, seg_round(meta.seg)) {
+            self.accel.retire_results_before(floor);
+        }
         if pkt.ecn_ce() {
             self.ecn_seen.insert(idx);
         }
@@ -682,6 +758,7 @@ impl IswitchExtension {
             }
             ControlMessage::Reset => {
                 self.accel.reset();
+                self.child_rounds.clear();
                 self.round_open.clear();
                 self.ecn_seen.clear();
                 self.ack(sw, from, code, true);
@@ -796,6 +873,7 @@ impl SwitchExtension for IswitchExtension {
         }
         if token == FAULT_RESET_TOKEN {
             self.accel.reset();
+            self.child_rounds.clear();
             self.round_open.clear();
             self.last_arrival.clear();
             self.held.clear();
@@ -843,5 +921,75 @@ impl SwitchExtension for IswitchExtension {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ports(ids: &[usize]) -> Vec<PortId> {
+        ids.iter().copied().map(PortId::new).collect()
+    }
+
+    #[test]
+    fn floor_waits_for_every_child_then_follows_the_slowest() {
+        let mut rounds = ChildRounds::new(&ports(&[0, 1, 2]));
+        assert_eq!(rounds.observe(PortId::new(0), 0), None);
+        assert_eq!(rounds.observe(PortId::new(1), 0), None);
+        // The last child's first packet sets the floor.
+        assert_eq!(rounds.observe(PortId::new(2), 0), Some(0));
+        assert_eq!(rounds.observe(PortId::new(0), 1), None);
+        assert_eq!(rounds.observe(PortId::new(1), 1), None);
+        // Repeats and stale rounds from the slowest child change nothing.
+        assert_eq!(rounds.observe(PortId::new(2), 0), None);
+        assert_eq!(rounds.observe(PortId::new(1), 0), None);
+        assert_eq!(rounds.observe(PortId::new(2), 1), Some(1));
+    }
+
+    #[test]
+    fn floor_crosses_the_round_tag_wrap() {
+        let mut rounds = ChildRounds::new(&ports(&[0, 1]));
+        rounds.observe(PortId::new(0), 0xFFFE);
+        assert_eq!(rounds.observe(PortId::new(1), 0xFFFF), Some(0xFFFE));
+        // Round 0 after 0xFFFF is a step forward: child 0 is now ahead,
+        // so the floor is child 1's 0xFFFF, until it wraps too.
+        assert_eq!(rounds.observe(PortId::new(0), 0), Some(0xFFFF));
+        assert_eq!(rounds.observe(PortId::new(1), 0), Some(0));
+        assert_eq!(rounds.observe(PortId::new(1), 1), None);
+        assert_eq!(rounds.observe(PortId::new(0), 1), Some(1));
+    }
+
+    #[test]
+    fn silent_or_departed_child_pins_the_floor() {
+        let mut rounds = ChildRounds::new(&ports(&[3, 5, 7]));
+        // Child on port 7 never sends: no round ever retires.
+        for round in 0..40 {
+            assert_eq!(rounds.observe(PortId::new(3), round), None);
+            assert_eq!(rounds.observe(PortId::new(5), round), None);
+        }
+        // Once it sends, the floor is its round; if it then leaves (stops
+        // sending), the floor stays there however far the others get.
+        assert_eq!(rounds.observe(PortId::new(7), 2), Some(2));
+        for round in 40..80 {
+            assert_eq!(rounds.observe(PortId::new(3), round), None);
+            assert_eq!(rounds.observe(PortId::new(5), round), None);
+        }
+    }
+
+    #[test]
+    fn non_child_ports_are_ignored_and_clear_restarts() {
+        // Port 1 is the uplink of an intermediate switch; port 9 is past
+        // the table.
+        let mut rounds = ChildRounds::new(&ports(&[0, 2]));
+        assert_eq!(rounds.observe(PortId::new(1), 5), None);
+        assert_eq!(rounds.observe(PortId::new(9), 5), None);
+        rounds.observe(PortId::new(0), 4);
+        assert_eq!(rounds.observe(PortId::new(2), 4), Some(4));
+        rounds.clear();
+        // After a reset, an earlier round is accepted again, but nothing
+        // retires until both children have reported.
+        assert_eq!(rounds.observe(PortId::new(0), 1), None);
+        assert_eq!(rounds.observe(PortId::new(2), 1), Some(1));
     }
 }

@@ -1,6 +1,8 @@
 //! Worker-side packet helpers: building gradient/control packets and
 //! parsing what comes back from the switch.
 
+use std::cell::RefCell;
+
 use bytes::Bytes;
 use iswitch_netsim::{CausalKey, IpAddr, Packet};
 
@@ -89,14 +91,19 @@ pub fn gradient_packets_round_codec(
 ///
 /// [`gradient_packets_round`] re-reads and byteswaps every f32 each
 /// iteration even though only the 8-byte round-tagged header differs
-/// between rounds. This cache encodes the vector once; per iteration,
-/// round 0 packets reuse the stored [`Bytes`] outright (refcount clone),
-/// and other rounds pay one memcpy plus an 8-byte header patch per packet.
+/// between rounds. This cache encodes the vector once and keeps one
+/// payload per segment. Per round, each payload's header is re-tagged in
+/// place when no packet still holds it (the previous round's packets were
+/// delivered and dropped), so a steady run allocates no payloads at all.
+/// A payload an earlier round's packet still shares (a retained train, a
+/// pacing queue) is copied instead, never mutated under its holder.
 /// Output is byte-for-byte identical to [`gradient_packets_round`].
 pub struct EncodedGradient {
     src: IpAddr,
-    /// Encoded payloads tagged with round 0 (identity tag).
-    round0: Vec<Bytes>,
+    /// Encoded payloads, each tagged with the round it was last sent for
+    /// (round 0 at construction). Behind a `RefCell` so that
+    /// [`EncodedGradient::packets_round`] can re-tag them through `&self`.
+    templates: RefCell<Vec<Bytes>>,
 }
 
 impl EncodedGradient {
@@ -126,33 +133,36 @@ impl EncodedGradient {
         };
         EncodedGradient {
             src,
-            round0: grad
-                .chunks(codec.elems_per_segment())
-                .enumerate()
-                .map(|(i, chunk)| encode(i, chunk))
-                .collect(),
+            templates: RefCell::new(
+                grad.chunks(codec.elems_per_segment())
+                    .enumerate()
+                    .map(|(i, chunk)| encode(i, chunk))
+                    .collect(),
+            ),
         }
     }
 
     /// Builds the packet sequence for `round` — the cached-template
     /// equivalent of [`gradient_packets_round`].
     pub fn packets_round(&self, round: u32) -> Vec<Packet> {
-        self.round0
-            .iter()
+        let mut templates = self.templates.borrow_mut();
+        templates
+            .iter_mut()
             .enumerate()
             .map(|(i, template)| {
                 let seg = tag_round(i as u64, round);
-                let header = (seg << 16) | 1;
-                let payload = if template[..SEG_HEADER_BYTES] == header.to_be_bytes() {
-                    // Header already matches (segment 0 of round 0, and any
-                    // template whose patch would be a no-op): share storage.
-                    template.clone()
-                } else {
-                    let mut buf = template.to_vec();
-                    buf[..SEG_HEADER_BYTES].copy_from_slice(&header.to_be_bytes());
-                    Bytes::from(buf)
-                };
-                sealed_data_packet(self.src, UPSTREAM_IP, seg, payload)
+                let header = ((seg << 16) | 1).to_be_bytes();
+                if template[..SEG_HEADER_BYTES] != header {
+                    match template.get_mut() {
+                        Some(bytes) => bytes[..SEG_HEADER_BYTES].copy_from_slice(&header),
+                        None => {
+                            let mut buf = template.to_vec();
+                            buf[..SEG_HEADER_BYTES].copy_from_slice(&header);
+                            *template = Bytes::from(buf);
+                        }
+                    }
+                }
+                sealed_data_packet(self.src, UPSTREAM_IP, seg, template.clone())
             })
             .collect()
     }
